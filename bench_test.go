@@ -407,6 +407,27 @@ func BenchmarkMultilevelPartition(b *testing.B) {
 	}
 }
 
+// BenchmarkDistribute builds every rank's share of the ER(20000, 80000)
+// graph under a 4-way multilevel partition — the per-job distribute step of a
+// warm graph_ref service job.
+func BenchmarkDistribute(b *testing.B) {
+	g, err := gen.ErdosRenyi(20000, 80000, true, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	part, err := partition.Multilevel(g, 4, partition.MultilevelOptions{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dgraph.Distribute(g, part); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkGridGeneration(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

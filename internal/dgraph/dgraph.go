@@ -15,7 +15,7 @@ package dgraph
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -159,15 +159,11 @@ func Distribute(g *graph.Graph, part *partition.Partition) ([]*DistGraph, error)
 	if err := part.Validate(g); err != nil {
 		return nil, err
 	}
-	p := part.P
 	owned := partition.PartVertices(part) // ascending ids per part
-	out := make([]*DistGraph, p)
-	for rank := 0; rank < p; rank++ {
-		d, err := buildLocal(g, part, rank, owned[rank])
-		if err != nil {
-			return nil, err
-		}
-		out[rank] = d
+	s := newScratch(g.NumVertices())
+	out := make([]*DistGraph, part.P)
+	for rank := range out {
+		out[rank] = s.buildLocal(g, part, rank, owned[rank])
 	}
 	return out, nil
 }
@@ -187,10 +183,31 @@ func DistributeRank(g *graph.Graph, part *partition.Partition, rank int) (*DistG
 			owned = append(owned, graph.Vertex(v))
 		}
 	}
-	return buildLocal(g, part, rank, owned)
+	return newScratch(g.NumVertices()).buildLocal(g, part, rank, owned), nil
 }
 
-func buildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []graph.Vertex) (*DistGraph, error) {
+// scratch is the reusable state of a share build: a dense global→local index
+// over all n global vertices, a bitmap of one rank's ghosts, and a buffer for
+// their ids. Between builds every index entry is unset and every bit clear.
+type scratch struct {
+	local  []int32  // global id -> local index, or unset
+	marks  []uint64 // bit u set: u is a ghost of the rank being built
+	ghosts []int64
+}
+
+const unset = -1
+
+func newScratch(n int) *scratch {
+	s := &scratch{local: make([]int32, n), marks: make([]uint64, (n+63)/64)}
+	for i := range s.local {
+		s.local[i] = unset
+	}
+	return s
+}
+
+// buildLocal builds rank's share from its owned vertices (ascending global
+// ids), then resets the index entries it set.
+func (s *scratch) buildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []graph.Vertex) *DistGraph {
 	d := &DistGraph{
 		Rank:        rank,
 		P:           part.P,
@@ -198,40 +215,51 @@ func buildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []gra
 		GlobalEdges: g.NumEdges(),
 		NLocal:      len(owned),
 	}
-	d.globalToLocal = make(map[int64]int32, len(owned)*2)
-	d.GlobalID = make([]int64, len(owned), len(owned)*2)
+	local := s.local
 	for i, v := range owned {
-		d.GlobalID[i] = int64(v)
-		d.globalToLocal[int64(v)] = int32(i)
+		local[v] = int32(i)
 	}
-	// Discover ghosts.
-	ghostSet := make(map[int64]int32) // global id -> owner
+	// Discover ghosts: every remote endpoint of an owned vertex gets its bit.
+	marks := s.marks
 	for _, v := range owned {
 		for _, u := range g.Neighbors(v) {
-			if part.Part[u] != int32(rank) {
-				ghostSet[int64(u)] = part.Part[u]
+			if local[u] == unset {
+				marks[u>>6] |= 1 << (u & 63)
 			}
 		}
 	}
-	ghosts := make([]int64, 0, len(ghostSet))
-	for gid := range ghostSet {
-		ghosts = append(ghosts, gid)
+	// Read the ghosts off the bitmap in ascending id order, clearing it.
+	ghosts := s.ghosts[:0]
+	for w, word := range marks {
+		if word == 0 {
+			continue
+		}
+		for ; word != 0; word &= word - 1 {
+			ghosts = append(ghosts, int64(w<<6|bits.TrailingZeros64(word)))
+		}
+		marks[w] = 0
 	}
-	sort.Slice(ghosts, func(i, j int) bool { return ghosts[i] < ghosts[j] })
+	s.ghosts = ghosts
 	d.NGhost = len(ghosts)
-	d.GhostOwner = make([]int32, len(ghosts))
-	neighborRanks := map[int]bool{}
+	d.GlobalID = make([]int64, d.NLocal+d.NGhost)
+	for i, v := range owned {
+		d.GlobalID[i] = int64(v)
+	}
+	copy(d.GlobalID[d.NLocal:], ghosts)
+	d.GhostOwner = make([]int32, d.NGhost)
+	nbr := make([]bool, part.P)
 	for i, gid := range ghosts {
-		d.GlobalID = append(d.GlobalID, gid)
-		d.globalToLocal[gid] = int32(d.NLocal + i)
-		d.GhostOwner[i] = ghostSet[gid]
-		neighborRanks[int(ghostSet[gid])] = true
+		local[gid] = int32(d.NLocal + i)
+		owner := part.Part[gid]
+		d.GhostOwner[i] = owner
+		nbr[owner] = true
 	}
-	for r := range neighborRanks {
-		d.NeighborRanks = append(d.NeighborRanks, r)
+	for r, ok := range nbr {
+		if ok {
+			d.NeighborRanks = append(d.NeighborRanks, r)
+		}
 	}
-	sort.Ints(d.NeighborRanks)
-	// CSR rows for owned vertices.
+	// CSR rows for owned vertices, with columns read from the index.
 	d.Xadj = make([]int64, d.NLocal+1)
 	var arcs int64
 	for i, v := range owned {
@@ -243,26 +271,29 @@ func buildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []gra
 		d.W = make([]float64, arcs)
 	}
 	d.IsBoundary = make([]bool, d.NLocal)
+	nLocal := int32(d.NLocal)
 	for i, v := range owned {
-		pos := d.Xadj[i]
-		adj := g.Neighbors(v)
-		for k, u := range adj {
-			lu := d.globalToLocal[int64(u)]
-			d.Adj[pos] = lu
-			if d.W != nil {
-				d.W[pos] = g.W[g.Xadj[v]+int64(k)]
-			}
-			if d.IsGhost(lu) {
+		row := d.Adj[d.Xadj[i]:d.Xadj[i+1]]
+		for k, u := range g.Neighbors(v) {
+			lu := local[u]
+			row[k] = lu
+			if lu >= nLocal {
 				d.IsBoundary[i] = true
 				d.CrossArcs++
 			}
-			pos++
 		}
-	}
-	for _, b := range d.IsBoundary {
-		if b {
+		if d.W != nil {
+			copy(d.W[d.Xadj[i]:], g.Weights(v))
+		}
+		if d.IsBoundary[i] {
 			d.NumBoundary++
 		}
 	}
-	return d, nil
+	// The index is scratch; LocalOf answers from an exact-size map.
+	d.globalToLocal = make(map[int64]int32, len(d.GlobalID))
+	for l, gid := range d.GlobalID {
+		d.globalToLocal[gid] = int32(l)
+		local[gid] = unset
+	}
+	return d
 }

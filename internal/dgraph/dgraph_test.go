@@ -1,6 +1,9 @@
 package dgraph
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -119,10 +122,7 @@ func TestDistributeRankMatchesDistribute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if one.NLocal != all[rank].NLocal || one.NGhost != all[rank].NGhost ||
-			one.CrossArcs != all[rank].CrossArcs || one.NumBoundary != all[rank].NumBoundary {
-			t.Fatalf("rank %d: DistributeRank differs from Distribute", rank)
-		}
+		assertSameShare(t, g, one, all[rank])
 	}
 	if _, err := DistributeRank(g, part, 99); err == nil {
 		t.Fatal("accepted invalid rank")
@@ -354,4 +354,206 @@ func TestUnweightedShareWeights(t *testing.T) {
 	if d.Weight(0) != 1 {
 		t.Fatal("unweighted arc weight != 1")
 	}
+}
+
+// refBuildLocal is the map-based share builder that preceded the dense
+// scratch index, kept verbatim as the reference the current builder must
+// reproduce exactly.
+func refBuildLocal(g *graph.Graph, part *partition.Partition, rank int, owned []graph.Vertex) (*DistGraph, error) {
+	d := &DistGraph{
+		Rank:        rank,
+		P:           part.P,
+		GlobalN:     int64(g.NumVertices()),
+		GlobalEdges: g.NumEdges(),
+		NLocal:      len(owned),
+	}
+	d.globalToLocal = make(map[int64]int32, len(owned)*2)
+	d.GlobalID = make([]int64, len(owned), len(owned)*2)
+	for i, v := range owned {
+		d.GlobalID[i] = int64(v)
+		d.globalToLocal[int64(v)] = int32(i)
+	}
+	// Discover ghosts.
+	ghostSet := make(map[int64]int32) // global id -> owner
+	for _, v := range owned {
+		for _, u := range g.Neighbors(v) {
+			if part.Part[u] != int32(rank) {
+				ghostSet[int64(u)] = part.Part[u]
+			}
+		}
+	}
+	ghosts := make([]int64, 0, len(ghostSet))
+	for gid := range ghostSet {
+		ghosts = append(ghosts, gid)
+	}
+	sort.Slice(ghosts, func(i, j int) bool { return ghosts[i] < ghosts[j] })
+	d.NGhost = len(ghosts)
+	d.GhostOwner = make([]int32, len(ghosts))
+	neighborRanks := map[int]bool{}
+	for i, gid := range ghosts {
+		d.GlobalID = append(d.GlobalID, gid)
+		d.globalToLocal[gid] = int32(d.NLocal + i)
+		d.GhostOwner[i] = ghostSet[gid]
+		neighborRanks[int(ghostSet[gid])] = true
+	}
+	for r := range neighborRanks {
+		d.NeighborRanks = append(d.NeighborRanks, r)
+	}
+	sort.Ints(d.NeighborRanks)
+	// CSR rows for owned vertices.
+	d.Xadj = make([]int64, d.NLocal+1)
+	var arcs int64
+	for i, v := range owned {
+		arcs += int64(g.Degree(v))
+		d.Xadj[i+1] = arcs
+	}
+	d.Adj = make([]int32, arcs)
+	if g.W != nil {
+		d.W = make([]float64, arcs)
+	}
+	d.IsBoundary = make([]bool, d.NLocal)
+	for i, v := range owned {
+		pos := d.Xadj[i]
+		adj := g.Neighbors(v)
+		for k, u := range adj {
+			lu := d.globalToLocal[int64(u)]
+			d.Adj[pos] = lu
+			if d.W != nil {
+				d.W[pos] = g.W[g.Xadj[v]+int64(k)]
+			}
+			if d.IsGhost(lu) {
+				d.IsBoundary[i] = true
+				d.CrossArcs++
+			}
+			pos++
+		}
+	}
+	for _, b := range d.IsBoundary {
+		if b {
+			d.NumBoundary++
+		}
+	}
+	return d, nil
+}
+
+// assertSameShare requires got and want to agree on every exported field and
+// on LocalOf for every global id, including the misses.
+func assertSameShare(t *testing.T, g *graph.Graph, got, want *DistGraph) {
+	t.Helper()
+	gv, wv := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
+	for i := 0; i < gv.NumField(); i++ {
+		f := gv.Type().Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		if !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
+			t.Fatalf("rank %d: %s = %v, want %v", want.Rank, f.Name, gv.Field(i).Interface(), wv.Field(i).Interface())
+		}
+	}
+	for gid := int64(-1); gid <= int64(g.NumVertices()); gid++ {
+		gl, gok := got.LocalOf(gid)
+		wl, wok := want.LocalOf(gid)
+		if gl != wl || gok != wok {
+			t.Fatalf("rank %d: LocalOf(%d) = (%d, %v), want (%d, %v)", want.Rank, gid, gl, gok, wl, wok)
+		}
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatalf("rank %d: %v", want.Rank, err)
+	}
+}
+
+// assertMatchesReference checks Distribute and DistributeRank against the
+// reference builder on every rank.
+func assertMatchesReference(t *testing.T, g *graph.Graph, part *partition.Partition) {
+	t.Helper()
+	shares, err := Distribute(g, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := partition.PartVertices(part)
+	for rank := 0; rank < part.P; rank++ {
+		want, err := refBuildLocal(g, part, rank, owned[rank])
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameShare(t, g, shares[rank], want)
+		one, err := DistributeRank(g, part, rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameShare(t, g, one, want)
+	}
+}
+
+func TestDistributeMatchesReference(t *testing.T) {
+	er, err := gen.ErdosRenyi(400, 1600, true, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rmat, err := gen.RMAT(9, 8, true, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	circuit, err := gen.Circuit(20, 20, 0.45, true, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partitioners := map[string]func(*graph.Graph, int) (*partition.Partition, error){
+		"block":  partition.Block1D,
+		"random": func(g *graph.Graph, p int) (*partition.Partition, error) { return partition.Random(g, p, 5) },
+		"bfs":    func(g *graph.Graph, p int) (*partition.Partition, error) { return partition.BFS(g, p, 5) },
+		"multilevel": func(g *graph.Graph, p int) (*partition.Partition, error) {
+			return partition.Multilevel(g, p, partition.MultilevelOptions{Seed: 5})
+		},
+	}
+	for gname, g := range map[string]*graph.Graph{"er": er, "rmat": rmat, "circuit": circuit} {
+		for pname, build := range partitioners {
+			for _, p := range []int{1, 3, 4, 16} {
+				t.Run(fmt.Sprintf("%s/%s/p%d", gname, pname, p), func(t *testing.T) {
+					part, err := build(g, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertMatchesReference(t, g, part)
+				})
+			}
+		}
+	}
+}
+
+func TestDistributeMatchesReferenceEdgeCases(t *testing.T) {
+	t.Run("empty part", func(t *testing.T) {
+		g, _ := gen.ErdosRenyi(100, 300, true, 1)
+		part := &partition.Partition{P: 3, Part: make([]int32, g.NumVertices())}
+		for v := range part.Part {
+			part.Part[v] = int32(2 * (v % 2)) // part 1 stays empty
+		}
+		assertMatchesReference(t, g, part)
+	})
+	t.Run("isolated vertices", func(t *testing.T) {
+		g, _ := gen.ErdosRenyi(200, 40, true, 2)
+		part, _ := partition.Block1D(g, 4)
+		assertMatchesReference(t, g, part)
+	})
+	t.Run("unweighted", func(t *testing.T) {
+		g, _ := gen.ErdosRenyi(300, 1200, false, 3)
+		g.W = nil // the generators always store weights; unit ones here
+		part, _ := partition.Random(g, 4, 3)
+		assertMatchesReference(t, g, part)
+	})
+	t.Run("few ghosts", func(t *testing.T) {
+		// A handful of ghosts spread over the id range, discovered in
+		// descending id order, so the builder must order them itself.
+		const n = 1000
+		var edges []graph.Edge
+		for v := 0; v < 10; v++ {
+			edges = append(edges, graph.Edge{U: graph.Vertex(v), V: graph.Vertex(n - 1 - v), W: float64(v + 1)})
+		}
+		g, err := graph.BuildUndirected(n, edges, graph.DedupeFirst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, _ := partition.Block1D(g, 2)
+		assertMatchesReference(t, g, part)
+	})
 }

@@ -122,6 +122,60 @@ func TestServiceMatchesCLI(t *testing.T) {
 	})
 }
 
+// TestBlockPartitionSharedAcrossSeeds asserts that block jobs differing only
+// in seed share one partition-cache entry (Block1D never reads the seed),
+// while the seed still reaches the coloring: each answer stays
+// byte-identical to the CLI run at its own seed.
+func TestBlockPartitionSharedAcrossSeeds(t *testing.T) {
+	g, err := gen.ErdosRenyi(300, 900, true, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ranks = 4
+	part, err := partition.Block1D(g, ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cl := startServer(t, service.Config{Workers: 1}, true)
+	ctx := context.Background()
+	ref, _, err := cl.UploadGraph(ctx, g, client.UploadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, seed := range []uint64{5, 6} {
+		resp, err := cl.Submit(ctx, &service.Request{
+			Algorithm: service.AlgoColor, GraphRef: ref, Ranks: ranks, Partition: "block",
+			Seed: seed, Superstep: 100,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := mpi.NewWorld(ranks, mpi.WithDeadline(10*time.Minute))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := dmgm.ColorParallelWorld(w, g, part,
+			dmgm.ColorParallelOptions{SuperstepSize: 100, Seed: seed, CommMode: dmgm.CommNeighbors})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want strings.Builder
+		if err := coloring.WriteColors(&want, res.Colors); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Cached || resp.Result != want.String() {
+			t.Fatalf("seed %d: service result (cached=%v) diverges from the CLI serialization", seed, resp.Cached)
+		}
+		m, err := cl.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hits, misses := m.Counters["service.partition_cache_hits"], m.Counters["service.partition_cache_misses"]; hits != int64(i) || misses != 1 {
+			t.Fatalf("after job %d: partition cache hits=%d misses=%d, want %d and 1", i+1, hits, misses, i)
+		}
+	}
+}
+
 // TestRestartConformance is the persistence gate (docs/PROTOCOL.md §7): a
 // graph uploaded in chunks to a daemon with a store directory must remain
 // addressable by its graph_ref after the daemon dies and a new one starts on

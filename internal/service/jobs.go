@@ -174,18 +174,30 @@ func (r *Request) timeout(def time.Duration) time.Duration {
 	return d
 }
 
+// partitionSeed is the seed the requested partitioner reads: the job seed,
+// or 0 for block, which reads none. buildPartition passes it and the
+// partition-cache key carries it, so block jobs that differ only in seed
+// share one cached partition.
+func (r *Request) partitionSeed() uint64 {
+	if r.Partition == "block" {
+		return 0
+	}
+	return r.Seed
+}
+
 // buildPartition runs the requested partitioner — the same dispatch the CLIs
 // use, so service and CLI runs agree bit-for-bit.
 func (r *Request) buildPartition(g *graph.Graph) (*partition.Partition, error) {
+	seed := r.partitionSeed()
 	switch r.Partition {
 	case "multilevel":
-		return partition.Multilevel(g, r.Ranks, partition.MultilevelOptions{Seed: r.Seed})
+		return partition.Multilevel(g, r.Ranks, partition.MultilevelOptions{Seed: seed})
 	case "bfs":
-		return partition.BFS(g, r.Ranks, r.Seed)
+		return partition.BFS(g, r.Ranks, seed)
 	case "block":
 		return partition.Block1D(g, r.Ranks)
 	case "random":
-		return partition.Random(g, r.Ranks, r.Seed)
+		return partition.Random(g, r.Ranks, seed)
 	default:
 		return nil, fmt.Errorf("unknown partitioner %q", r.Partition)
 	}

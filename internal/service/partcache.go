@@ -9,12 +9,12 @@ import (
 )
 
 // partCache is the warm partition cache: partitions keyed by everything that
-// determines them — (graph fingerprint, partitioner, ranks, seed) — held LRU
-// by entry count. Partitioning dominates small-job latency (the multilevel
-// partitioner costs more than a matching run on the same graph), and with
-// the content-addressed store keeping graphs resident across jobs, repeat
-// jobs over the same graph at different algorithm parameters would otherwise
-// re-partition identically every time.
+// determines them — (graph fingerprint, partitioner, ranks, and the seed the
+// partitioner reads) — held LRU by entry count. Partitioning dominates
+// small-job latency (the multilevel partitioner costs more than a matching
+// run on the same graph), and with the content-addressed store keeping
+// graphs resident across jobs, repeat jobs over the same graph at different
+// algorithm parameters would otherwise re-partition identically every time.
 //
 // Cached *partition.Partition values are shared across concurrent jobs
 // without copying: every consumer (dgraph.Distribute and the verifiers)
@@ -38,7 +38,8 @@ func newPartCache(cap int) *partCache {
 	return &partCache{cap: cap, ll: list.New(), m: make(map[string]*list.Element)}
 }
 
-// partitionKey identifies a partition by its full derivation.
+// partitionKey identifies a partition by its full derivation; seed is the
+// one the partitioner reads (Request.partitionSeed).
 func partitionKey(fp, partitioner string, ranks int, seed uint64) string {
 	return fmt.Sprintf("%s|%s|p%d|s%d", fp, partitioner, ranks, seed)
 }

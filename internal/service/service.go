@@ -997,11 +997,12 @@ func (s *Server) observeJob(j *job, start time.Time, elapsed time.Duration) {
 
 // getPartition resolves the job's partition through the warm partition
 // cache; a miss runs the requested partitioner and warms the cache. The key
-// covers the full derivation (fingerprint, partitioner, ranks, seed), and
+// covers the full derivation (fingerprint, partitioner, ranks, and the seed
+// unless the partitioner ignores it), and
 // partitions are read-only downstream, so sharing one instance across
 // concurrent jobs is safe.
 func (s *Server) getPartition(j *job) (*partition.Partition, bool, error) {
-	key := partitionKey(j.fp, j.req.Partition, j.req.Ranks, j.req.Seed)
+	key := partitionKey(j.fp, j.req.Partition, j.req.Ranks, j.req.partitionSeed())
 	if p, ok := s.parts.get(key); ok {
 		s.partHits.Inc()
 		return p, true, nil
